@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos lint lint-tests bench bench-fastpath fastpath bench-compile compile-tests load-smoke load-tests recover-smoke recovery-tests bench-recovery cluster-smoke cluster-tests bench-cluster examples series check all trace-smoke analyze sanitize-smoke bench-analysis
+.PHONY: install test chaos lint lint-tests bench bench-fastpath fastpath bench-compile compile-tests load-smoke load-tests recover-smoke recovery-tests bench-recovery cluster-smoke cluster-tests bench-cluster examples series check all trace-smoke analyze sanitize-smoke bench-analysis perfbench-smoke
 
 install:
 	$(PYTHON) setup.py develop || pip install -e .
@@ -109,12 +109,21 @@ cluster-tests:
 bench-cluster:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_perf14_cluster.py --benchmark-only -q
 
+# Benchmark correctness smoke: each perfbench workload runs briefly;
+# the runner exits 1 on a wrong result or final state (counter totals,
+# echo identity, one live owner, recover_site replay).
+perfbench-smoke:
+	@for w in invoke_local rmi_sim tcp_gateway migrate_durable; do \
+		echo "=== $$w"; \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
+
 series: bench
 	@echo; for f in benchmarks/out/*.txt; do echo "--- $$f"; cat $$f; echo; done
 
 examples:
 	@for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex || exit 1; echo; done
 
-check: test lint analyze sanitize-smoke trace-smoke load-smoke recover-smoke cluster-smoke bench
+check: test lint analyze sanitize-smoke trace-smoke load-smoke recover-smoke cluster-smoke perfbench-smoke bench
 
 all: install check examples

@@ -6,6 +6,13 @@ simulator until the matching reply lands (synchronous semantics, like
 RMI), and returns the decoded result — or re-raises the remote failure
 as :class:`~repro.core.errors.RemoteInvocationError`.
 
+Every remote request, blocking or not, is one :class:`AsyncCall`: the
+state machine that sends attempts, schedules their timeouts and
+backoffs as simulator events, and settles a :class:`BatchFuture`. A
+blocking call is that machine plus a pump until its future settles; a
+batch frame is one blocking call whose payload carries many logical
+requests.
+
 Remote calls may carry a :class:`RetryPolicy`: each attempt gets a
 per-request timeout (a scheduled simulator event, so timeouts are as
 deterministic as everything else), failed attempts back off
@@ -27,9 +34,9 @@ from typing import Any, Sequence, TYPE_CHECKING
 
 from ..core.acl import Principal
 from ..core.errors import (
+    MROMError,
     NetworkError,
     OverloadError,
-    RemoteInvocationError,
     RequestTimeoutError,
     error_for_name,
 )
@@ -45,6 +52,7 @@ __all__ = [
     "RetryPolicy",
     "BatchFuture",
     "AsyncCall",
+    "BlockingCall",
     "RequestBatch",
     "BatchedRef",
     "SendQueue",
@@ -202,41 +210,36 @@ class RemoteRef:
         return f"RemoteRef({self.guid} @ {self.site}{label})"
 
 
-def remote_error_from(payload: dict) -> RemoteInvocationError:
-    """Rebuild a remote failure as a local exception."""
-    return RemoteInvocationError(
-        payload.get("message", "remote invocation failed"),
-        remote_type=payload.get("error", ""),
-    )
-
-
 # ---------------------------------------------------------------------------
 # async RMI: futures resolved by the event loop, not by pumping per call
 # ---------------------------------------------------------------------------
 
 
 class AsyncCall:
-    """The client half of one non-blocking logical request.
+    """The client half of one logical request: the one request state machine.
 
-    Where :meth:`Site.request` pumps the kernel to completion per call,
-    an async call is pure event-loop state: the request is sent, the
-    future is returned immediately, and the reply — whenever a pump
-    delivers it — settles the future. Timeouts and retries are ordinary
-    scheduled simulator events sharing one ``request_id`` (the receiver
-    still executes the logical request at most once), so a site can keep
-    an arbitrary window of requests in flight across the simulated WAN.
+    The request is sent and the reply — whenever a pump delivers it —
+    settles the future. Timeouts and retries are ordinary scheduled
+    simulator events sharing one ``request_id`` (the receiver executes
+    the logical request at most once), so a site can keep an arbitrary
+    window of requests in flight across the simulated WAN. A shed
+    (:class:`~repro.core.errors.OverloadError`) under a policy is retried
+    like a timeout.
 
-    Remote failures settle the future with the *typed* rebuilt error
-    (:func:`repro.core.errors.error_for_name`): a shed request fails as
-    :class:`~repro.core.errors.OverloadError`, a denial as
+    :meth:`Site.request_async` returns the future as is: remote failures
+    settle it with the *typed* rebuilt error
+    (:func:`repro.core.errors.error_for_name`), so a denial fails as
     ``AccessDeniedError`` — the structured contract the load drivers and
-    admission tests rely on.
+    admission tests rely on. :meth:`Site.request` runs a
+    :class:`BlockingCall` and pumps until it settles. When ``span`` is
+    set (the blocking call's ``rmi.<kind>`` client span), timeouts and
+    retries are recorded on it as ``rmi.timeout``/``rmi.retry`` events.
     """
 
     __slots__ = (
         "site", "dst", "kind", "wire_payload", "policy", "future",
-        "request_id", "issued_at", "attempt", "attempt_ids", "sent_any",
-        "_timer", "hb_clock",
+        "request_id", "attempt", "attempt_ids", "sent_any",
+        "_timer", "hb_clock", "span",
     )
 
     def __init__(
@@ -255,12 +258,12 @@ class AsyncCall:
         self.policy = policy
         self.future = future
         self.request_id = site.mint_request_id()
-        self.issued_at = site.network.now
         self.attempt = 0
         self.attempt_ids: list[int] = []
         self.sent_any = False
         self._timer = None
         self.hb_clock = None  # issuer's vector clock, when sanitizing
+        self.span = None
 
     # -- sending ---------------------------------------------------------
 
@@ -295,10 +298,7 @@ class AsyncCall:
 
     def on_reply(self, message: "Message") -> None:
         """A reply to any attempt of this logical request landed."""
-        if self._timer is not None:
-            self.site.network.simulator.cancel(self._timer)
-            self._timer = None
-        self._unregister()
+        self._stop_waiting()
         if self.future.done:  # pragma: no cover - defensive
             return
         san = _sanitizer.ACTIVE
@@ -316,18 +316,13 @@ class AsyncCall:
             san.push(hb_task)
         try:
             body = message.payload
+            if self._retry_shed(body):
+                return
             if isinstance(body, dict) and body.get("ok") is False:
-                error = error_for_name(
+                self.future._fail(error_for_name(
                     str(body.get("error", "")),
                     str(body.get("message", "remote failure")),
-                )
-                if isinstance(error, OverloadError) and self.policy is not None:
-                    # a shed is retryable: the refusal bypassed the served
-                    # ledger, so a backed-off retry of the same request_id
-                    # gets a fresh admission decision
-                    self._attempt_failed(error)
-                    return
-                self.future._fail(error)
+                ))
                 return
             if isinstance(body, dict) and "result" in body:
                 body = body["result"]
@@ -336,11 +331,33 @@ class AsyncCall:
             if san is not None:
                 san.pop()
 
+    def _retry_shed(self, body: Any) -> bool:
+        """Under a policy, treat a shed reply as a failed attempt (True
+        when *body* was one): the refusal bypassed the served ledger, so
+        a backed-off retry of the same request gets a fresh admission
+        decision."""
+        if self.policy is None or not (
+            isinstance(body, dict)
+            and body.get("ok") is False
+            and body.get("error") == "OverloadError"
+        ):
+            return False
+        self._attempt_failed(
+            OverloadError(str(body.get("message", "remote failure")))
+        )
+        return True
+
     def _on_timeout(self) -> None:
         self._timer = None
         tel = _telemetry.ACTIVE
         if tel is not None:
             tel.metrics.counter("rmi.timeouts").inc()
+            if self.span is not None:
+                self.span.event(
+                    "rmi.timeout",
+                    attempt=self.attempt + 1,
+                    sim_time=self.site.network.now,
+                )
         assert self.policy is not None
         self._attempt_failed(
             RequestTimeoutError(
@@ -363,7 +380,7 @@ class AsyncCall:
                 label=f"async backoff {self.kind} {self.request_id}",
             )
             return
-        self._unregister()
+        self._stop_waiting()
         if self.future.done:  # pragma: no cover - defensive
             return
         if self.sent_any and not isinstance(
@@ -384,15 +401,48 @@ class AsyncCall:
         tel = _telemetry.ACTIVE
         if tel is not None:
             tel.metrics.counter("rmi.retries").inc()
+            if self.span is not None:
+                self.span.event(
+                    "rmi.retry",
+                    attempt=self.attempt + 1,
+                    request_id=self.request_id,
+                    sim_time=self.site.network.now,
+                )
         self._send_attempt()
 
-    def _unregister(self) -> None:
+    def abandon(self, error: Exception | None = None) -> None:
+        """Give up on a call nothing will pump again: cancel its timeout
+        and unregister its attempts. With *error*, also fail the future
+        (a scheduled retry then stands down)."""
+        self._stop_waiting()
+        if error is not None and not self.future.done:
+            self.future._fail(error)
+
+    def _stop_waiting(self) -> None:
+        """Cancel the pending timeout and unregister every attempt."""
+        if self._timer is not None:
+            self.site.network.simulator.cancel(self._timer)
+            self._timer = None
         for msg_id in self.attempt_ids:
             self.site._async_calls.pop(msg_id, None)
 
     def __repr__(self) -> str:
         state = "done" if self.future.done else f"attempt {self.attempt + 1}"
         return f"AsyncCall({self.kind} -> {self.dst}, {state})"
+
+
+class BlockingCall(AsyncCall):
+    """The call behind :meth:`Site.request`: its future settles with the
+    raw reply message, which the caller decodes after its pump returns
+    (:meth:`Site._decode_reply`), in its own context. A shed under a
+    policy is still retried here, like any other call."""
+
+    __slots__ = ()
+
+    def on_reply(self, message: "Message") -> None:
+        self._stop_waiting()
+        if not self._retry_shed(message.payload):
+            self.future._resolve(message)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +520,13 @@ class RequestBatch:
     Each :meth:`add` mints the same per-request ``request_id`` an
     individual call would carry, so the receiving site executes every
     logical request **at most once** and replays recorded replies to
-    retried or duplicated frames — the frame itself additionally has its
-    own ``request_id`` (minted by :meth:`Site.request`'s retry machinery)
-    for whole-frame dedup. Retry/timeout semantics and ``~trace``
-    propagation are the frame's: one ``rmi.batch`` client span covers the
-    flush and the serving site nests one ``serve.<kind>`` span per inner
-    request under its ``serve.batch``.
+    retried or duplicated frames — the frame itself is one blocking
+    :meth:`Site.request` with its own ``request_id`` for whole-frame
+    dedup. Retry/timeout semantics and ``~trace`` propagation are the
+    frame's: one ``rmi.batch`` client span covers the flush and the
+    serving site nests one ``serve.<kind>`` span per inner request under
+    its ``serve.batch``. Each inner reply is decoded as the same request
+    sent alone would be, so a future fails with the same error type.
 
     Usable as a context manager: a clean exit flushes.
     """
@@ -577,14 +628,19 @@ class RequestBatch:
                 future._fail(error)
             raise error
         for future, envelope in zip(futures, envelopes):
-            if isinstance(envelope, dict) and envelope.get("ok") is False:
-                future._fail(remote_error_from(envelope))
-            elif isinstance(envelope, dict) and "result" in envelope:
-                future._resolve(envelope["result"])
-            else:
+            if not isinstance(envelope, dict) or (
+                "result" not in envelope and envelope.get("ok") is not False
+            ):
                 future._fail(
                     NetworkError(f"malformed batch envelope {envelope!r}")
                 )
+                continue
+            # the same decoder as an unbatched blocking call: typed
+            # refusals (overload, stale lease) and imported results
+            try:
+                future._resolve(self.site._decode_reply(envelope))
+            except MROMError as exc:
+                future._fail(exc)
         return futures
 
     def __enter__(self) -> "RequestBatch":

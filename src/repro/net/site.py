@@ -33,7 +33,6 @@ from ..core.errors import (
     NetworkError,
     OverloadError,
     RemoteInvocationError,
-    RequestTimeoutError,
     StaleLeaseError,
 )
 from ..core.introspection import describe as describe_object
@@ -48,6 +47,7 @@ from .rmi import (
     AsyncCall,
     BatchFuture,
     BatchedRef,
+    BlockingCall,
     RemoteRef,
     RequestBatch,
     RetryPolicy,
@@ -81,10 +81,8 @@ class Site:
             "ping": self._handle_ping,
             "batch": self._handle_batch,
         }
-        self._pending: dict[int, Message] = {}
-        self._awaiting: set[int] = set()
-        #: in-flight async calls keyed by attempt msg_id; replies settle
-        #: the call's future instead of parking in ``_pending``
+        #: in-flight calls (blocking or not) keyed by attempt msg_id; a
+        #: reply settles the registered call's future
         self._async_calls: dict[int, AsyncCall] = {}
         self._served: OrderedDict[str, Any] = OrderedDict()
         self._served_cap = 1024
@@ -209,13 +207,12 @@ class Site:
     def receive(self, message: Message) -> None:
         """Transport delivery entry point.
 
-        Replies are matched against the set of requests still awaited
-        (settling the future directly for async calls); a reply to a
-        request this site has abandoned (timed out, or a previous
-        incarnation's) is discarded rather than leaking into
-        ``_pending`` forever. Requests carrying a ``request_id`` are
-        executed **at most once**: the reply is recorded and replayed to
-        any retry or duplicate delivery of the same logical request.
+        A reply settles the call registered under its ``reply_to``; a
+        reply to a request this site no longer waits for (settled, timed
+        out, or a previous incarnation's) is counted as stale and
+        dropped. Requests carrying a ``request_id`` are executed **at
+        most once**: the reply is recorded and replayed to any retry or
+        duplicate delivery of the same logical request.
 
         Fresh requests pass admission first: with ``inflight_limit``
         set and the window full, the request is shed with a structured
@@ -229,34 +226,26 @@ class Site:
             call = self._async_calls.get(message.reply_to)
             if call is not None:
                 call.on_reply(message)
-                return
-            if message.reply_to in self._awaiting:
-                self._pending[message.reply_to] = message
             else:
                 self.stale_replies += 1
             return
-        tel = _telemetry.ACTIVE
         if message.request_id and message.request_id in self._served:
-            self.replayed_requests += 1
-            if tel is not None:
-                tel.metrics.counter("rmi.dedup_hits").inc()
-                tel.events.emit(
-                    "rmi.replay", time=self.network.now, site=self.site_id,
-                    kind=message.kind, request_id=message.request_id,
-                )
-            self._send_reply(message, self._served[message.request_id])
+            self._send_reply(
+                message, self._replay(message.kind, message.request_id)
+            )
             return
         if message.request_id and message.request_id in self._in_progress:
             # a duplicate of a request still in its service window: the
             # handler ran (or will run) exactly once for the original,
             # whose reply is already on its way — answer with silence
             self.inflight_duplicates += 1
+            tel = _telemetry.ACTIVE
             if tel is not None:
                 tel.metrics.counter("rmi.inflight_dups").inc()
             return
         handler = self._handlers.get(message.kind)
         if handler is None:
-            self._reply_error(message, NetworkError(f"unknown kind {message.kind!r}"))
+            self._reply(message, _unknown_kind(message.kind))
             return
         if not self.try_admit(message.kind, src=message.src):
             self._shed(message)
@@ -313,14 +302,7 @@ class Site:
         retry of the same logical request deserves a fresh admission
         decision instead of an eternally replayed refusal.
         """
-        self._send_reply(
-            message,
-            {
-                "ok": False,
-                "error": "OverloadError",
-                "message": str(self.overloaded_error()),
-            },
-        )
+        self._send_reply(message, _error_envelope(self.overloaded_error()))
 
     def _serve(self, message: Message, handler: Handler) -> None:
         """Execute one admitted request and send its reply."""
@@ -333,72 +315,106 @@ class Site:
             hb_task = san.begin_serve(
                 message.msg_id, label=f"serve.{message.kind}@{self.site_id}"
             )
-        tel = _telemetry.ACTIVE
-        span = None
-        if tel is not None:
-            # re-activate the caller's wire context: the server span
-            # parents to the remote rmi span, stitching the trace across
-            # the site boundary
-            remote_ctx = TraceContext.from_wire(extract_trace(message.payload))
-            span = tel.begin_span(
-                f"serve.{message.kind}",
-                attrs={
-                    "site": self.site_id,
-                    "src": message.src,
-                    "msg_id": message.msg_id,
-                    "sim_time": self.network.now,
-                    "verdict": message.verdict,
-                },
-                parent=remote_ctx,
-            )
-            tel.metrics.counter("rmi.served").inc()
-        self.handling_depth += 1
-        status = "ok"
         try:
-            try:
-                result = handler(message)
-            except MROMError as exc:
-                status = "error"
-                if span is not None:
-                    span.set(error=type(exc).__name__)
-                self._reply_error(message, exc)
-                return
-            self._reply(message, {"ok": True, "result": self.export_value(result)})
-        except BaseException as exc:
-            if status == "ok":
-                status = "error"
-                if span is not None:
-                    span.set(error=type(exc).__name__)
-            raise
+            self._execute(message, handler)
         finally:
-            self.handling_depth -= 1
-            if span is not None:
-                tel.end_span(span, status=status)
             if san is not None:
                 san.end_serve(message.msg_id, hb_task)
             if message.request_id:
                 self._in_progress.discard(message.request_id)
             self.release()
 
-    def _reply(self, request: Message, payload: Any) -> None:
-        if request.request_id:
-            # record before sending: even if the reply is lost on the
-            # wire, a retry replays the same outcome instead of
-            # re-executing the handler
-            self._served[request.request_id] = payload
-            self._served.move_to_end(request.request_id)
-            while len(self._served) > self._served_cap:
-                self._served.popitem(last=False)
-        if self.journal is not None:
-            # reply and post-execution state become durable before the
-            # reply can reach the wire: a retry landing on the next
-            # incarnation replays this outcome (a request-id-less legacy
-            # request still journals the state it mutated)
-            self.journal.note_served(
-                request.kind, request.request_id or "", payload,
-                request.payload,
+    def _execute(
+        self, message: Message, handler: Handler, batched: bool = False
+    ) -> dict:
+        """Run *handler* on one request and conclude it: its
+        ``serve.<kind>`` span, ``handling_depth``, an
+        :class:`~repro.core.errors.MROMError` turned into an error
+        envelope, and the envelope recorded (and, unless *batched*,
+        sent) by :meth:`_reply` inside the span. Returns the envelope."""
+        tel = _telemetry.ACTIVE
+        span = None
+        if tel is not None:
+            attrs = {
+                "site": self.site_id,
+                "src": message.src,
+                "msg_id": message.msg_id,
+                "sim_time": self.network.now,
+                "verdict": message.verdict,
+            }
+            if batched:
+                attrs["batched"] = True
+            # re-activate the caller's wire context: the server span
+            # parents to the remote rmi span, stitching the trace across
+            # the site boundary (a batched request's own context, else
+            # the frame's serve.batch span)
+            span = tel.begin_span(
+                f"serve.{message.kind}",
+                attrs=attrs,
+                parent=TraceContext.from_wire(extract_trace(message.payload)),
             )
-        self._send_reply(request, payload)
+            tel.metrics.counter("rmi.served").inc()
+        self.handling_depth += 1
+        error: BaseException | None = None
+        try:
+            try:
+                envelope = {
+                    "ok": True, "result": self.export_value(handler(message)),
+                }
+            except MROMError as exc:
+                error = exc
+                envelope = _error_envelope(exc)
+            self._reply(message, envelope, send=not batched)
+        except BaseException as exc:
+            if error is None:
+                error = exc
+            raise
+        finally:
+            self.handling_depth -= 1
+            if span is not None:
+                if error is not None:
+                    span.set(error=type(error).__name__)
+                tel.end_span(span, status="ok" if error is None else "error")
+        return envelope
+
+    def _reply(self, request: Message, envelope: Any, send: bool = True) -> None:
+        """Record *envelope* as *request*'s outcome, then send it.
+
+        The served ledger and the journal both take it before the reply
+        can reach the wire: even if the reply is lost, a retry replays
+        the same outcome instead of re-executing the handler, also on
+        the next incarnation (a request-id-less legacy request still
+        journals the state it mutated). A batched request is not sent:
+        its envelope travels in the frame's reply.
+        """
+        if request.request_id:
+            self._remember(request.request_id, envelope)
+        if self.journal is not None:
+            self.journal.note_served(
+                request.kind, request.request_id, envelope, request.payload
+            )
+        if send:
+            self._send_reply(request, envelope)
+
+    def _remember(self, request_id: str, envelope: Any) -> None:
+        """Put one outcome in the served ledger, evicting the oldest
+        beyond ``_served_cap``."""
+        self._served[request_id] = envelope
+        self._served.move_to_end(request_id)
+        while len(self._served) > self._served_cap:
+            self._served.popitem(last=False)
+
+    def _replay(self, kind: str, request_id: str) -> Any:
+        """The recorded outcome of an already-served request."""
+        self.replayed_requests += 1
+        tel = _telemetry.ACTIVE
+        if tel is not None:
+            tel.metrics.counter("rmi.dedup_hits").inc()
+            tel.events.emit(
+                "rmi.replay", time=self.network.now, site=self.site_id,
+                kind=kind, request_id=request_id,
+            )
+        return self._served[request_id]
 
     def _send_reply(self, request: Message, payload: Any) -> None:
         try:
@@ -416,16 +432,6 @@ class Site:
             # unwind an unrelated caller's simulation pump
             self.replies_unsendable += 1
 
-    def _reply_error(self, request: Message, error: Exception) -> None:
-        self._reply(
-            request,
-            {
-                "ok": False,
-                "error": type(error).__name__,
-                "message": str(error),
-            },
-        )
-
     def request(
         self,
         dst: str,
@@ -435,18 +441,27 @@ class Site:
     ) -> Any:
         """Send a request and pump the simulator until its reply arrives.
 
-        With a :class:`RetryPolicy` (per-call, or the site's default
-        ``retry_policy``), each attempt waits ``policy.timeout`` simulated
-        seconds and failed attempts back off exponentially; all attempts
-        share one ``request_id`` so the receiver executes the request at
-        most once. Without a policy: legacy semantics (pump until the
-        reply lands or the simulation drains).
+        The request is one :class:`~repro.net.rmi.BlockingCall` — the
+        same state machine as :meth:`request_async` — and a pump until
+        it settles. With a :class:`RetryPolicy` (per-call, or the site's
+        default ``retry_policy``), each attempt waits ``policy.timeout``
+        simulated seconds and failed attempts (timeouts and sheds) back
+        off exponentially. Every request carries a ``request_id``, shared
+        by all its attempts, so the receiver executes it at most once.
+        Without a policy: one attempt, pumped until the reply lands or
+        the simulation drains.
+
+        The reply is decoded by :meth:`_decode_reply`: remote failures
+        raise :class:`~repro.core.errors.RemoteInvocationError`, except
+        the typed refusals (:class:`~repro.core.errors.OverloadError`,
+        :class:`~repro.core.errors.StaleLeaseError`).
 
         With telemetry enabled, the whole logical request is one client
-        span (``rmi.<kind>``) and the span's trace context is stamped
-        into the request envelope (:data:`~repro.net.marshal.TRACE_FIELD`)
-        so the serving site joins the same trace; every retry carries the
-        identical context.
+        span (``rmi.<kind>``) carrying the ``rmi.timeout``/``rmi.retry``
+        events, and the span's trace context is stamped into the request
+        envelope (:data:`~repro.net.marshal.TRACE_FIELD`) so the serving
+        site joins the same trace; every retry carries the identical
+        context.
         """
         san = _sanitizer.ACTIVE
         if san is not None:
@@ -454,147 +469,48 @@ class Site:
             # sync-wait edge; outstanding edges forming a ring is the
             # dynamic witness the cycle.* rules must have predicted
             san.wait_begin(self.site_id, dst)
-            try:
-                return self._request_traced(dst, kind, payload, policy)
-            finally:
-                san.wait_end(self.site_id, dst)
-        return self._request_traced(dst, kind, payload, policy)
-
-    def _request_traced(
-        self,
-        dst: str,
-        kind: str,
-        payload: Any,
-        policy: RetryPolicy | None = None,
-    ) -> Any:
         tel = _telemetry.ACTIVE
-        if tel is None:
-            return self._request(dst, kind, payload, policy)
-        span = tel.begin_span(
-            f"rmi.{kind}",
-            attrs={"src": self.site_id, "dst": dst, "sim_time": self.network.now},
-        )
-        tel.metrics.counter("rmi.requests").inc()
-        payload = attach_trace(payload, tel.context_of(span).to_wire())
-        try:
-            result = self._request(dst, kind, payload, policy)
-        except BaseException as exc:
-            span.set(error=type(exc).__name__)
-            tel.end_span(span, status="error")
-            raise
-        span.set(sim_time_done=self.network.now)
-        tel.end_span(span)
-        return result
-
-    def _request(
-        self,
-        dst: str,
-        kind: str,
-        payload: Any,
-        policy: RetryPolicy | None = None,
-    ) -> Any:
-        policy = policy if policy is not None else self.retry_policy
-        wire_payload = self.export_value(payload)
-        if policy is None:
-            msg_id = self.network.send(
-                self.site_id, dst, kind, wire_payload, lamport=self.guids.tick()
+        span = None
+        if tel is not None:
+            span = tel.begin_span(
+                f"rmi.{kind}",
+                attrs={"src": self.site_id, "dst": dst, "sim_time": self.network.now},
             )
-            san = _sanitizer.ACTIVE
-            if san is not None:
-                san.note_sent(msg_id)
-            self._awaiting.add(msg_id)
-            try:
-                self.network.run_while(lambda: msg_id not in self._pending)
-            finally:
-                self._awaiting.discard(msg_id)
-            reply = self._pending.pop(msg_id, None)
-            if reply is None:
-                raise NetworkError(
-                    f"no reply for {kind!r} from {dst!r} (simulation drained)"
-                )
-            return self._decode_reply(reply)
-        request_id = self.mint_request_id()
-        simulator = self.network.simulator
-        attempt_ids: list[int] = []
-        sent_any = False
-        last_error: NetworkError | None = None
+            tel.metrics.counter("rmi.requests").inc()
+            payload = attach_trace(payload, tel.context_of(span).to_wire())
         try:
-            for attempt in range(policy.attempts):
-                reply = self._claim_reply(attempt_ids)
-                if reply is not None:  # a late reply landed during backoff
-                    return self._decode_reply(reply)
-                if attempt:
-                    tel = _telemetry.ACTIVE
-                    if tel is not None:
-                        tel.metrics.counter("rmi.retries").inc()
-                        span = tel.current_span
-                        if span is not None:
-                            span.event(
-                                "rmi.retry",
-                                attempt=attempt + 1,
-                                request_id=request_id,
-                                sim_time=self.network.now,
-                            )
-                try:
-                    msg_id = self.network.send(
-                        self.site_id, dst, kind, wire_payload,
-                        lamport=self.guids.tick(), request_id=request_id,
-                    )
-                except NetworkError as exc:
-                    last_error = exc
-                else:
-                    sent_any = True
-                    san = _sanitizer.ACTIVE
-                    if san is not None:
-                        san.note_sent(msg_id)
-                    attempt_ids.append(msg_id)
-                    self._awaiting.add(msg_id)
-                    expired: dict[str, bool] = {}
-                    timer = simulator.schedule(
-                        policy.timeout,
-                        lambda expired=expired: expired.setdefault("fired", True),
-                        label=f"timeout {kind} {request_id}",
-                    )
-                    self.network.run_while(
-                        lambda: "fired" not in expired
-                        and not any(m in self._pending for m in attempt_ids)
-                    )
-                    simulator.cancel(timer)
-                    reply = self._claim_reply(attempt_ids)
-                    if reply is not None:
-                        return self._decode_reply(reply)
-                    last_error = RequestTimeoutError(
-                        f"no reply for {kind!r} from {dst!r} within "
-                        f"{policy.timeout}s (attempt {attempt + 1}/{policy.attempts})"
-                    )
-                    tel = _telemetry.ACTIVE
-                    if tel is not None:
-                        tel.metrics.counter("rmi.timeouts").inc()
-                        span = tel.current_span
-                        if span is not None:
-                            span.event(
-                                "rmi.timeout",
-                                attempt=attempt + 1,
-                                sim_time=self.network.now,
-                            )
-                if attempt + 1 < policy.attempts:
-                    self._sleep(policy.backoff_for(attempt))
-            reply = self._claim_reply(attempt_ids)
-            if reply is not None:
-                return self._decode_reply(reply)
+            future: BatchFuture = BatchFuture()
+            call = BlockingCall(
+                self, dst, kind, self.export_value(payload),
+                policy if policy is not None else self.retry_policy, future,
+            )
+            call.span = span
+            call.start()
+            try:
+                self.network.run_while(lambda: not future.done)
+            finally:
+                if not future.done:  # drained, or the pump raised
+                    call.abandon(NetworkError(
+                        f"no reply for {kind!r} from {dst!r} (simulation drained)"
+                    ))
+            reply = future.result()
+            if san is not None:
+                # join the serving task's published clock: everything the
+                # handler did happens-before this caller's next step
+                san.absorb_reply(reply.reply_to)
+            result = self._decode_reply(reply.payload)
+        except BaseException as exc:
+            if span is not None:
+                span.set(error=type(exc).__name__)
+                tel.end_span(span, status="error")
+            raise
         finally:
-            for msg_id in attempt_ids:
-                self._awaiting.discard(msg_id)
-                self._pending.pop(msg_id, None)
-        assert last_error is not None
-        if sent_any and not isinstance(last_error, RequestTimeoutError):
-            # at least one attempt reached the wire: the outcome is
-            # ambiguous even though the last failure was at send time
-            raise RequestTimeoutError(
-                f"request {kind!r} to {dst!r} unresolved after "
-                f"{policy.attempts} attempts: {last_error}"
-            ) from last_error
-        raise last_error
+            if san is not None:
+                san.wait_end(self.site_id, dst)
+        if span is not None:
+            span.set(sim_time_done=self.network.now)
+            tel.end_span(span)
+        return result
 
     def request_async(
         self,
@@ -638,10 +554,12 @@ class Site:
 
         Raises :class:`~repro.core.errors.NetworkError` if the
         simulation drains without the reply (mirrors the policy-free
-        blocking path).
+        blocking path); the call is unregistered, since no reply can
+        reach it any more, and its future is left unsettled.
         """
         self.network.run_while(lambda: not future.done)
         if not future.done:
+            self._abandon([future])
             raise NetworkError(
                 "simulation drained before the request resolved"
             )
@@ -653,38 +571,24 @@ class Site:
         self.network.run_while(
             lambda: any(not future.done for future in futures)
         )
-        unresolved = sum(1 for future in futures if not future.done)
+        unresolved = [future for future in futures if not future.done]
         if unresolved:
+            self._abandon(unresolved)
             raise NetworkError(
-                f"simulation drained with {unresolved} request(s) unresolved"
+                f"simulation drained with {len(unresolved)} request(s) unresolved"
             )
         return [future.result() for future in futures]
 
-    def _claim_reply(self, attempt_ids: Sequence[int]) -> Message | None:
-        """Pop the reply to whichever attempt of a logical request landed."""
-        for msg_id in attempt_ids:
-            reply = self._pending.pop(msg_id, None)
-            if reply is not None:
-                return reply
-        return None
+    def _abandon(self, futures: Sequence[BatchFuture]) -> None:
+        """Unregister the calls behind *futures* after a drain."""
+        calls = {
+            call for call in self._async_calls.values() if call.future in futures
+        }
+        for call in calls:
+            call.abandon()
 
-    def _sleep(self, duration: float) -> None:
-        """Advance simulated time by *duration*, serving traffic meanwhile."""
-        woken: dict[str, bool] = {}
-        self.network.simulator.schedule(
-            duration,
-            lambda: woken.setdefault("fired", True),
-            label=f"backoff {self.site_id}",
-        )
-        self.network.run_while(lambda: "fired" not in woken)
-
-    def _decode_reply(self, reply: Message) -> Any:
-        san = _sanitizer.ACTIVE
-        if san is not None:
-            # join the serving task's published clock: everything the
-            # handler did happens-before this caller's next step
-            san.absorb_reply(reply.reply_to)
-        body = reply.payload
+    def _decode_reply(self, body: Any) -> Any:
+        """Decode one reply envelope as a blocking caller sees it."""
         if isinstance(body, Mapping) and body.get("ok") is False:
             if body.get("error") == "OverloadError":
                 # a shed is a structured refusal, not a remote crash:
@@ -954,97 +858,43 @@ class Site:
     def _serve_batched(self, frame: Message, entry: Any) -> dict:
         """Execute (or replay) one logical request of a batch frame."""
         if not isinstance(entry, Mapping):
-            return {
-                "ok": False,
-                "error": "NetworkError",
-                "message": f"malformed batch entry {entry!r}",
-            }
+            return _error_envelope(NetworkError(f"malformed batch entry {entry!r}"))
         kind = str(entry.get("kind", ""))
         request_id = str(entry.get("request_id", ""))
-        tel = _telemetry.ACTIVE
         if request_id and request_id in self._served:
-            self.replayed_requests += 1
-            if tel is not None:
-                tel.metrics.counter("rmi.dedup_hits").inc()
-                tel.events.emit(
-                    "rmi.replay", time=self.network.now, site=self.site_id,
-                    kind=kind, request_id=request_id,
-                )
-            self._served.move_to_end(request_id)
-            return self._served[request_id]
+            return self._replay(kind, request_id)
+        inner = Message(
+            kind=kind,
+            src=frame.src,
+            dst=frame.dst,
+            payload=entry.get("payload"),
+            msg_id=frame.msg_id,
+            reply_to=None,
+            lamport=frame.lamport,
+            size=0,
+            request_id=request_id,
+            verdict=frame.verdict,
+        )
         handler = self._handlers.get(kind)
         if handler is None or kind == "batch":  # no nested frames
-            envelope: dict = {
-                "ok": False,
-                "error": "NetworkError",
-                "message": f"unknown kind {kind!r}",
-            }
-        else:
-            inner = Message(
-                kind=kind,
-                src=frame.src,
-                dst=frame.dst,
-                payload=entry.get("payload"),
-                msg_id=frame.msg_id,
-                reply_to=None,
-                lamport=frame.lamport,
-                size=0,
-                request_id=request_id,
-                verdict=frame.verdict,
-            )
-            span = None
-            if tel is not None:
-                # nests under the frame's serve.batch span (begin_span
-                # falls back to the current context), keeping the per-
-                # request server spans the unbatched path would produce
-                span = tel.begin_span(
-                    f"serve.{kind}",
-                    attrs={
-                        "site": self.site_id,
-                        "src": frame.src,
-                        "msg_id": frame.msg_id,
-                        "sim_time": self.network.now,
-                        "batched": True,
-                    },
-                    parent=TraceContext.from_wire(extract_trace(inner.payload)),
-                )
-                tel.metrics.counter("rmi.served").inc()
-            self.handling_depth += 1
-            status = "ok"
-            try:
-                result = handler(inner)
-                envelope = {"ok": True, "result": self.export_value(result)}
-            except MROMError as exc:
-                status = "error"
-                if span is not None:
-                    span.set(error=type(exc).__name__)
-                envelope = {
-                    "ok": False,
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                }
-            finally:
-                self.handling_depth -= 1
-                if span is not None:
-                    tel.end_span(span, status=status)
-        if request_id:
-            # same record-before-reply discipline as _reply: a lost frame
-            # reply must replay outcomes, not re-execute
-            self._served[request_id] = envelope
-            self._served.move_to_end(request_id)
-            while len(self._served) > self._served_cap:
-                self._served.popitem(last=False)
-            if self.journal is not None:
-                self.journal.note_served(
-                    kind, request_id, envelope, entry.get("payload")
-                )
-        return envelope
+            envelope = _unknown_kind(kind)
+            self._reply(inner, envelope, send=False)
+            return envelope
+        return self._execute(inner, handler, batched=True)
 
     def __repr__(self) -> str:
         return (
             f"Site({self.site_id!r}, domain={self.domain!r}, "
             f"{len(self._objects)} objects)"
         )
+
+
+def _error_envelope(error: Exception) -> dict:
+    return {"ok": False, "error": type(error).__name__, "message": str(error)}
+
+
+def _unknown_kind(kind: str) -> dict:
+    return _error_envelope(NetworkError(f"unknown kind {kind!r}"))
 
 
 class _RemoteNames:

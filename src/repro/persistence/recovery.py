@@ -189,9 +189,7 @@ def recover_site(
             report.objects_restored += 1
 
         for request_id, reply in state.served.items():
-            site._served[request_id] = reply
-        while len(site._served) > site._served_cap:
-            site._served.popitem(last=False)
+            site._remember(request_id, reply)
         report.served_restored = len(site._served)
 
         for transfer_id, entry in state.ledger.items():

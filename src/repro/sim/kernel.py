@@ -22,13 +22,18 @@ from typing import Any, Callable
 __all__ = ["Event", "Simulator"]
 
 
-@dataclass(order=True, frozen=True)
+@dataclass(order=True)
 class Event:
-    """One scheduled action. Ordered by (time, seq)."""
+    """One scheduled action. Ordered by (time, seq).
+
+    ``action`` is None once the event has fired or been cancelled: a
+    cancelled event waits in the heap until its time comes up, and must
+    not keep what its action refers to alive until then.
+    """
 
     time: float
     seq: int
-    action: Callable[[], Any] = field(compare=False)
+    action: Callable[[], Any] | None = field(compare=False)
     label: str = field(compare=False, default="")
 
 
@@ -48,8 +53,8 @@ class Simulator:
         self._now = 0.0
         self._queue: list[Event] = []
         self._seq = itertools.count()
-        self._queued: set[int] = set()
-        self._cancelled: set[int] = set()
+        #: cancelled events still in the heap
+        self._cancelled = 0
         self.seed = seed
         self.rng = random.Random(seed)
         self.events_processed = 0
@@ -81,7 +86,6 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         event = Event(self._now + delay, next(self._seq), action, label)
         heapq.heappush(self._queue, event)
-        self._queued.add(event.seq)
         return event
 
     def schedule_at(
@@ -93,20 +97,20 @@ class Simulator:
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (lazy removal).
 
-        Cancelling an event that already fired (or was already cancelled)
-        is a no-op: only seqs still in the queue enter ``_cancelled``, so
-        ``pending`` stays exact and the set cannot accumulate stale
-        entries.
+        The event stays in the heap until its time comes up, but its
+        action is dropped now. Cancelling an event that already fired
+        (or was already cancelled) is a no-op, so ``pending`` stays
+        exact.
         """
-        if event.seq in self._queued:
-            self._cancelled.add(event.seq)
+        if event.action is not None:
+            event.action = None
+            self._cancelled += 1
 
     def _skip_cancelled(self) -> None:
         """Pop cancelled events off the head of the queue."""
-        while self._queue and self._queue[0].seq in self._cancelled:
-            event = heapq.heappop(self._queue)
-            self._queued.discard(event.seq)
-            self._cancelled.discard(event.seq)
+        while self._queue and self._queue[0].action is None:
+            heapq.heappop(self._queue)
+            self._cancelled -= 1
 
     # -- execution --------------------------------------------------------------
 
@@ -116,10 +120,10 @@ class Simulator:
         if not self._queue:
             return False
         event = heapq.heappop(self._queue)
-        self._queued.discard(event.seq)
+        action, event.action = event.action, None
         self._now = event.time
         self.events_processed += 1
-        event.action()
+        action()
         return True
 
     def run(self, max_events: int | None = None) -> int:
@@ -171,8 +175,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        # exact: _cancelled only ever holds seqs still in the queue
-        return len(self._queue) - len(self._cancelled)
+        # exact: _cancelled only counts events still in the queue
+        return len(self._queue) - self._cancelled
 
     def __repr__(self) -> str:
         return f"Simulator(now={self._now:.6f}, pending={self.pending})"

@@ -9,7 +9,7 @@ from repro.core.errors import (
     PartitionError,
     RequestTimeoutError,
 )
-from repro.faults import DropInjector, FaultPlane
+from repro.faults import DropInjector, DuplicateInjector, FaultPlane
 from repro.net import RetryPolicy
 
 from ..conftest import build_counter
@@ -82,9 +82,8 @@ class TestRetries:
             sites["a"].remote_invoke(
                 "b", counter.guid, "increment", [1], policy=FAST
             )
-        # bookkeeping fully unwound: nothing awaited, nothing pending
-        assert sites["a"]._awaiting == set()
-        assert sites["a"]._pending == {}
+        # bookkeeping fully unwound: no attempt stays registered
+        assert sites["a"]._async_calls == {}
         assert counter.get_data("count", caller=counter.owner) == 0
 
     def test_late_reply_after_timeout_is_stale(self):
@@ -98,7 +97,7 @@ class TestRetries:
             )
         network.run()  # the reply lands after the caller gave up
         assert sites["a"].stale_replies == 1
-        assert sites["a"]._pending == {}
+        assert sites["a"]._async_calls == {}
         # ...but the remote side did execute (at-least-once ambiguity)
         assert counter.get_data("count", caller=counter.owner) == 1
 
@@ -113,14 +112,76 @@ class TestRetries:
         )
 
 
+class TestPolicyFreeRequests:
+    def test_a_policy_free_request_is_deduplicated(self):
+        """Every blocking request carries a request_id, so a duplicated
+        delivery replays the recorded reply instead of re-executing."""
+        network, sites, counter = counter_world()
+        FaultPlane(network, seed=1).add(
+            DuplicateInjector(rate=1.0, only_kinds=["invoke"], limit=1)
+        )
+        assert sites["a"].remote_invoke("b", counter.guid, "increment", [1]) == 1
+        network.run()  # the duplicate lands after the original was served
+        assert counter.get_data("count", caller=counter.owner) == 1
+        assert sites["b"].replayed_requests == 1
+        assert sites["a"].stale_replies == 1  # the replayed reply
+
+    def test_the_request_id_does_not_travel_in_the_wire_bytes(self):
+        network, sites, counter = counter_world()
+        sizes = []
+        original_receive = sites["b"].receive
+
+        def record(message):
+            sizes.append((message.request_id, message.size))
+            original_receive(message)
+
+        sites["b"].receive = record
+        sites["a"].remote_invoke("b", counter.guid, "increment", [1])
+        sites["a"].remote_invoke(
+            "b", counter.guid, "increment", [1], policy=FAST
+        )
+        (first_id, first_size), (second_id, second_size) = sizes
+        assert first_id and second_id and first_id != second_id
+        assert first_size == second_size
+
+
+class TestDrains:
+    def test_a_drained_sync_request_unregisters(self):
+        network, sites, counter = counter_world()
+        FaultPlane(network, seed=1).add(
+            DropInjector(rate=1.0, only_kinds=["invoke"], limit=1)
+        )
+        with pytest.raises(NetworkError, match="drained"):
+            sites["a"].remote_invoke("b", counter.guid, "increment", [1])
+        assert sites["a"]._async_calls == {}
+
+    def test_a_drained_async_wait_unregisters(self):
+        network, sites, counter = counter_world()
+        FaultPlane(network, seed=1).add(
+            DropInjector(rate=1.0, only_kinds=["invoke"], limit=2)
+        )
+        orphan = sites["a"].remote_invoke_async("b", counter.guid, "increment")
+        with pytest.raises(NetworkError, match="drained"):
+            sites["a"].wait(orphan)
+        assert sites["a"]._async_calls == {}
+        assert not orphan.done  # abandoned, not settled
+        orphans = [
+            sites["a"].remote_invoke_async("b", counter.guid, "increment"),
+            sites["a"].remote_invoke_async("b", counter.guid, "increment"),
+        ]
+        with pytest.raises(NetworkError, match="1 request"):
+            sites["a"].wait_all(orphans)
+        assert sites["a"]._async_calls == {}
+        assert orphans[1].result() == 1
+
+
 class TestPartitionSemantics:
     def test_legacy_no_policy_path_raises_immediately(self):
         network, sites, counter = counter_world()
         network.topology.set_link_state("a", "b", False)
         with pytest.raises(PartitionError):
             sites["a"].remote_invoke("b", counter.guid, "increment", [1])
-        assert sites["a"]._awaiting == set()
-        assert sites["a"]._pending == {}
+        assert sites["a"]._async_calls == {}
 
     def test_policy_with_nothing_sent_stays_atomic(self):
         network, sites, counter = counter_world()

@@ -201,6 +201,27 @@ class TestDirectoryClient:
             )
         assert not isinstance(caught.value, RemoteInvocationError)
 
+    def test_batched_stale_arrives_typed_like_the_sync_call(self):
+        network, sites, ring, managers, clients = cluster_world()
+        name = "apps/k0"
+        home = ring.owner(name)
+        publish_counter(managers[home], name)
+        dst = next(s for s in managers if s != home)
+        managers[home].migrate(name, dst)
+        network.run()
+        request = {"name": name, "generation": 1, "method": "peek",
+                   "args": [], "caller": {}}
+        with pytest.raises(StaleLeaseError) as alone:
+            sites["c0"].request(home, "cluster.invoke", request)
+        batch = sites["c0"].batch(home)
+        stale = batch.add("cluster.invoke", request)
+        batch.flush()
+        with pytest.raises(StaleLeaseError) as caught:
+            stale.result()
+        assert not isinstance(caught.value, RemoteInvocationError)
+        assert str(caught.value) == str(alone.value)
+        assert caught.value.generation == alone.value.generation
+
     def test_redirect_budget_exhausts_with_the_typed_error(self):
         _network, _sites, ring, managers, clients = cluster_world()
         name = "apps/k0"

@@ -12,6 +12,9 @@ per-site admission window (backpressure) the serving side now enforces.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.errors import (
@@ -129,6 +132,25 @@ class TestAsyncFutures:
             sites["a"].wait(orphan)
         with pytest.raises(NetworkError, match="unresolved"):
             sites["a"].wait_all([orphan])
+
+    def test_a_settled_call_is_not_pinned_by_its_cancelled_timer(self):
+        """The timeout of a settled call is cancelled but stays queued
+        until its time; it must not keep the call's payload alive."""
+        class Tracked(float):
+            pass
+
+        network, sites, counter = counter_world()
+        arg = Tracked(2.0)
+        alive = weakref.ref(arg)
+        future = sites["a"].remote_invoke_async(
+            "b", counter.guid, "increment", [arg], policy=FAST
+        )
+        del arg
+        assert sites["a"].wait(future) == 2.0
+        gc.collect()
+        simulator = network.simulator
+        assert simulator.pending < len(simulator._queue)  # timer still queued
+        assert alive() is None
 
 
 class TestAsyncRetries:
@@ -267,6 +289,38 @@ class TestAdmissionControl:
         sites["a"].wait_all(futures)
         assert sites["b"].shed_requests == 0
         assert counter.get_data("count", caller=counter.owner) == 30
+
+    def test_sync_call_retries_a_shed_like_an_async_one(self):
+        """A blocking call under a policy backs off and retries a shed,
+        exactly as the async victim above does."""
+        network, sites, counter = counter_world()
+        sites["b"].inflight_limit = 1
+        sites["b"].service_delay = 0.05
+        blocker = sites["a"].remote_invoke_async(
+            "b", counter.guid, "increment", [1]
+        )
+        result = sites["a"].remote_invoke(
+            "b", counter.guid, "increment", [1],
+            policy=RetryPolicy(attempts=3, timeout=0.02, backoff=0.2),
+        )
+        assert result == 2
+        assert blocker.result() == 1
+        assert counter.get_data("count", caller=counter.owner) == 2
+        assert sites["b"].shed_requests == 1
+
+    def test_sync_call_against_a_window_that_never_frees_is_overloaded(self):
+        """Every attempt shed: the outcome is a known refusal, not the
+        ambiguous timeout."""
+        network, sites, counter = counter_world()
+        sites["b"].inflight_limit = 0
+        with pytest.raises(OverloadError, match="admission window full"):
+            sites["a"].remote_invoke(
+                "b", counter.guid, "increment", [1],
+                policy=RetryPolicy(attempts=3, timeout=0.02, backoff=0.2),
+            )
+        assert sites["b"].shed_requests == 3
+        assert sites["a"]._async_calls == {}
+        assert counter.get_data("count", caller=counter.owner) == 0
 
     def test_sync_path_shares_the_window(self):
         """Blocking requests honour the same admission budget."""

@@ -1,5 +1,8 @@
 """The discrete-event kernel: ordering, determinism, control."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Simulator
@@ -124,6 +127,27 @@ class TestControl:
         assert sim.pending == 1
         sim.run()
         assert sim.pending == 0
+
+    def test_cancel_drops_the_action_at_once(self):
+        # a cancelled event waits in the heap until its time comes up; its
+        # action must not keep what it refers to alive until then
+        class Payload:
+            def touch(self):
+                raise AssertionError("a cancelled event fired")
+
+        sim = Simulator()
+        payload = Payload()
+        alive = weakref.ref(payload)
+        event = sim.schedule(5.0, payload.touch)
+        sim.schedule(1.0, lambda: None)
+        sim.cancel(event)
+        del payload
+        gc.collect()
+        assert alive() is None
+        assert sim.pending == 1
+        assert len(sim._queue) == 2  # the cancelled event is still queued
+        sim.run()
+        assert sim.pending == 0 and sim.now == 1.0
 
     def test_run_while_converges(self):
         sim = Simulator()
