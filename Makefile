@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos lint lint-tests bench bench-fastpath fastpath bench-compile compile-tests load-smoke load-tests recover-smoke recovery-tests bench-recovery cluster-smoke cluster-tests bench-cluster examples series check all trace-smoke analyze sanitize-smoke bench-analysis perfbench-smoke
+.PHONY: install test chaos lint lint-tests bench bench-fastpath fastpath bench-compile compile-tests wire-tests load-smoke load-tests recover-smoke recovery-tests bench-recovery cluster-smoke cluster-tests bench-cluster examples series check all trace-smoke analyze sanitize-smoke bench-analysis perfbench-smoke
 
 install:
 	$(PYTHON) setup.py develop || pip install -e .
@@ -68,6 +68,12 @@ bench-compile:
 compile-tests:
 	$(PYTHON) -m pytest -m compile tests/
 
+# The wire suite (marker: wire): the MRM1 codec against a frozen copy of
+# its earlier encoder and decoder (same bytes, same errors), the golden
+# wire corpus, and the eager-vs-lazy decoder mutation fuzz.
+wire-tests:
+	PYTHONHASHSEED=0 PYTHONPATH=src $(PYTHON) -m pytest -m wire -q tests/
+
 # Load acceptance: the sustain + overload pair (>= 10k requests through
 # >= 4 sites, zero unresolved; constrained window sheds structured
 # OverloadErrors while non-shed requests all complete).
@@ -124,6 +130,6 @@ series: bench
 examples:
 	@for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex || exit 1; echo; done
 
-check: test lint analyze sanitize-smoke trace-smoke load-smoke recover-smoke cluster-smoke perfbench-smoke bench
+check: test wire-tests lint analyze sanitize-smoke trace-smoke load-smoke recover-smoke cluster-smoke perfbench-smoke bench
 
 all: install check examples

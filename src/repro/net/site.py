@@ -59,6 +59,10 @@ __all__ = ["Site"]
 
 Handler = Callable[[Message], Any]
 
+#: scalars export and import hand back at once, matched by exact type;
+#: a subclass takes the walks' ordinary tests
+_PLAIN = frozenset((type(None), bool, int, float, str, bytes))
+
 
 class Site:
     """One host: registry, naming, and the wire protocol."""
@@ -614,6 +618,8 @@ class Site:
 
     def export_value(self, value: Any) -> Any:
         """Turn local object identities into wire references (recursively)."""
+        if type(value) in _PLAIN:
+            return value
         if isinstance(value, MROMObject):
             site = self.site_id if value.guid in self._objects else ""
             return Reference(value.guid, site)
@@ -624,21 +630,39 @@ class Site:
             # become tokens the owning object re-validates on use
             return value.token()
         if isinstance(value, (list, tuple)):
-            return [self.export_value(element) for element in value]
+            export = self.export_value
+            return [
+                element if type(element) in _PLAIN else export(element)
+                for element in value
+            ]
         if isinstance(value, dict):
-            return {key: self.export_value(val) for key, val in value.items()}
+            export = self.export_value
+            return {
+                key: val if type(val) in _PLAIN else export(val)
+                for key, val in value.items()
+            }
         return value
 
     def import_value(self, value: Any) -> Any:
         """Turn wire references into local objects or remote proxies."""
+        if type(value) in _PLAIN:
+            return value
         if isinstance(value, Reference):
             if value.site == self.site_id and value.guid in self._objects:
                 return self._objects[value.guid]
             return RemoteRef(self, value.site or self.site_id, value.guid)
         if isinstance(value, list):
-            return [self.import_value(element) for element in value]
+            import_ = self.import_value
+            return [
+                element if type(element) in _PLAIN else import_(element)
+                for element in value
+            ]
         if isinstance(value, dict):
-            return {key: self.import_value(val) for key, val in value.items()}
+            import_ = self.import_value
+            return {
+                key: val if type(val) in _PLAIN else import_(val)
+                for key, val in value.items()
+            }
         return value
 
     # ------------------------------------------------------------------

@@ -8,7 +8,9 @@ bandwidth/latency sweeps of PERF-5 — is exactly reproducible.
 The kernel is intentionally small: a monotonically increasing clock, a
 priority queue of events, and a seeded random stream for jitter. Events
 at equal times fire in scheduling order (a strictly increasing sequence
-number breaks ties), which is what makes runs deterministic.
+number breaks ties), which is what makes runs deterministic. The heap
+holds ``(time, seq, event)`` tuples, so every sift compares in C; the
+unique ``seq`` means the event itself is never compared.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Any, Callable
 __all__ = ["Event", "Simulator"]
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """One scheduled action. Ordered by (time, seq).
+    """One scheduled action; it fires in (time, seq) order.
 
     ``action`` is None once the event has fired or been cancelled: a
     cancelled event waits in the heap until its time comes up, and must
@@ -51,7 +53,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self._now = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         #: cancelled events still in the heap
         self._cancelled = 0
@@ -84,8 +86,9 @@ class Simulator:
         """Schedule *action* to fire *delay* seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self._now + delay, next(self._seq), action, label)
-        heapq.heappush(self._queue, event)
+        time, seq = self._now + delay, next(self._seq)
+        event = Event(time, seq, action, label)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(
@@ -108,7 +111,7 @@ class Simulator:
 
     def _skip_cancelled(self) -> None:
         """Pop cancelled events off the head of the queue."""
-        while self._queue and self._queue[0].action is None:
+        while self._queue and self._queue[0][2].action is None:
             heapq.heappop(self._queue)
             self._cancelled -= 1
 
@@ -119,9 +122,9 @@ class Simulator:
         self._skip_cancelled()
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)
+        time, _seq, event = heapq.heappop(self._queue)
         action, event.action = event.action, None
-        self._now = event.time
+        self._now = time
         self.events_processed += 1
         action()
         return True
@@ -148,7 +151,7 @@ class Simulator:
         fired = 0
         while True:
             self._skip_cancelled()
-            if not self._queue or self._queue[0].time > time:
+            if not self._queue or self._queue[0][0] > time:
                 break
             if not self.step():
                 break

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import TransferUnresolvedError
+from repro.core.errors import MarshalError, TransferUnresolvedError
 from repro.faults import DropInjector, FaultPlane
+from repro.mobility import pack
 from repro.net import RetryPolicy
 from repro.persistence import MemoryStore, WriteAheadLog, attach_journal
 from repro.telemetry import Telemetry, enabled
@@ -222,6 +223,59 @@ class TestJournalFailSafe:
         journal = world.journals["a"]
         assert journal.skipped_unportable >= 1
         assert not journal.failed  # skipping is not failing
+
+
+class TestUnreadableStateIsRefusedAtTheWriter:
+    """A mapping keyed by a tuple is a valid weakly-typed value, but its
+    wire form decodes to a list key, which no decoder accepts. Written
+    to the log, it made the record (or the whole compacted snapshot)
+    unreadable; the encoder now refuses it before a byte is written."""
+
+    @staticmethod
+    def world_with_tuple_keyed_state():
+        world = DurableWorld(names=("a", "b"))
+        bystander = durable_counter(world, "a")
+        holder = world.sites["a"].create_object(display_name="holder")
+        holder.define_fixed_data("m", {})
+        holder.seal()
+        world.sites["a"].register_object(holder)
+        holder.set_data("m", {(1, 2): 3}, caller=holder.owner)
+        return world, bystander, holder
+
+    def test_a_journaled_image_is_refused_not_torn(self):
+        world, _bystander, holder = self.world_with_tuple_keyed_state()
+        wal = world.wals["a"]
+        before = [record.to_mapping() for record in wal.records()]
+        with pytest.raises(MarshalError, match="unhashable mapping key"):
+            wal.append(
+                "object.image",
+                {"guid": holder.guid,
+                 "package": pack(holder, strip_native_wrappers=True)},
+                site="a",
+            )
+        records, damage = wal.replay()
+        assert damage is None
+        assert [record.to_mapping() for record in records] == before
+
+    def test_checkpoint_is_refused_and_the_log_stays_replayable(self):
+        world, bystander, holder = self.world_with_tuple_keyed_state()
+        wal = world.wals["a"]
+        before = [record.to_mapping() for record in wal.records()]
+        snapshot = {"objects": {
+            obj.guid: pack(obj, strip_native_wrappers=True)
+            for obj in world.sites["a"].objects()
+        }}
+        with pytest.raises(MarshalError, match="unhashable mapping key"):
+            wal.compact(snapshot, site="a")
+        records, damage = wal.replay()
+        assert damage is None
+        assert [record.to_mapping() for record in records] == before
+        report = world.crash_restart("a")
+        assert report.objects_restored == 2
+        site = world.sites["a"]
+        assert site.has_object(bystander.guid) and site.has_object(holder.guid)
+        restored = site.local_object(holder.guid)
+        assert restored.get_data("m", caller=restored.owner) == {}
 
 
 class TestRecoveryReportShape:
